@@ -606,10 +606,22 @@ def build_sparse_affectance(
         if r >= diameter:
             # Complete pattern: nothing dropped, tails exactly zero.
             if m > _FULL_PATTERN_LIMIT:
+                if grow:
+                    cause = f"eps={eps} needs"
+                    fix = "loosen eps or pass an explicit radius"
+                else:
+                    cause = (
+                        f"the pinned radius {r:.6g} covers the instance "
+                        f"diameter {diameter:.6g}, so it needs"
+                    )
+                    fix = (
+                        "pass a radius below the diameter or use the dense "
+                        "backend"
+                    )
                 raise LinkError(
-                    f"eps={eps} needs the complete {m}x{m} affectance "
-                    "pattern, which exceeds the sparse full-pattern limit; "
-                    "loosen eps or pass an explicit radius"
+                    f"{cause} the complete {m}x{m} affectance pattern, "
+                    "which exceeds the sparse full-pattern limit of "
+                    f"{_FULL_PATTERN_LIMIT} links; {fix}"
                 )
             rows, cols = _full_pattern(m)
             tail_in = np.zeros(m)

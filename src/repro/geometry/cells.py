@@ -203,10 +203,6 @@ class CellIndex:
             key = key * (self._dims[d] + 2) + shifted[:, d]
         return key
 
-    def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(coords, counts)`` of the occupied cells."""
-        return self._uniq_coords, self._sizes
-
     # ------------------------------------------------------------------
     def query(
         self, qpoints: np.ndarray, radius: float, *, chunk: int = 1 << 20
@@ -386,18 +382,64 @@ class CellIndex:
 
         with ``d_min`` the minimum box-to-box Euclidean distance
         (per-axis gap ``max(|delta| - 1, 0) * h``).
+
+        Each distinct query cell is evaluated once and the results are
+        scattered back.  A denominator depends on its pair of cells only
+        through the absolute offset ``|delta|``, so the denominators come
+        from one table over the offsets' bounding box, indexed by the
+        linearized ``|delta|``.  Every table entry is the per-pair float
+        expression and every row is the same ``(weights / denom).sum()``
+        over the occupied cells in key order, so ``W`` is bit-identical to
+        evaluating each (query cell, occupied cell) pair on its own.  When
+        the box holds more entries than one ``chunk``-row block of pairs
+        (a sparsely occupied grid), each block instead evaluates only the
+        distinct offsets it contains, which keeps the working set at one
+        block.
         """
         if not radius > 0:
             raise GeometryError(f"certificate radius must be positive, got {radius}")
         qc = np.asarray(query_cells, dtype=np.int64)
-        coords, counts = self._uniq_coords, self._sizes
-        out = np.empty(qc.shape[0], dtype=float)
-        weights = counts.astype(float)
-        for lo in range(0, qc.shape[0], chunk):
-            block = qc[lo : lo + chunk]
-            delta = np.abs(block[:, None, :] - coords[None, :, :])
-            gap = np.maximum(delta - 1, 0) * self.h
-            d_min = np.sqrt((gap.astype(float) ** 2).sum(axis=-1))
-            denom = np.maximum(d_min, radius) ** alpha
+        if qc.ndim != 2 or qc.shape[1] != self.dim:
+            raise GeometryError(f"query cells must have shape (k, {self.dim})")
+        if qc.shape[0] == 0:
+            return np.empty(0, dtype=float)
+        cells, inverse = np.unique(qc, axis=0, return_inverse=True)
+        coords = self._uniq_coords
+        weights = self._sizes.astype(float)
+        # Largest |delta| per axis between a query cell and an occupied one.
+        span = np.maximum(
+            cells.max(axis=0) - coords.min(axis=0),
+            coords.max(axis=0) - cells.min(axis=0),
+        )
+        shape = tuple(int(n) for n in span + 1)
+        strides = [int(np.prod(shape[d + 1 :])) for d in range(self.dim)]
+        table = None
+        if np.prod(shape, dtype=float) <= chunk * coords.shape[0]:
+            table = self._denominators(
+                np.indices(shape).reshape(self.dim, -1).T, radius, alpha
+            )
+        out = np.empty(cells.shape[0], dtype=float)
+        for lo in range(0, cells.shape[0], chunk):
+            block = cells[lo : lo + chunk]
+            key = sum(
+                np.abs(block[:, d, None] - coords[None, :, d]) * strides[d]
+                for d in range(self.dim)
+            )
+            if table is not None:
+                denom = table[key]
+            else:
+                offsets, where = np.unique(key, return_inverse=True)
+                offsets = np.stack(np.unravel_index(offsets, shape), axis=-1)
+                denom = self._denominators(offsets, radius, alpha)[
+                    where.reshape(key.shape)
+                ]
             out[lo : lo + chunk] = (weights[None, :] / denom).sum(axis=1)
-        return out
+        return out[inverse.reshape(-1)]
+
+    def _denominators(
+        self, offsets: np.ndarray, radius: float, alpha: float
+    ) -> np.ndarray:
+        """``max(d_min, radius)^alpha`` for ``(n, dim)`` absolute offsets."""
+        gap = np.maximum(offsets - 1, 0) * self.h
+        d_min = np.sqrt((gap**2).sum(axis=-1))
+        return np.maximum(d_min, radius) ** alpha

@@ -277,6 +277,24 @@ class TestBackendValidation:
                 links, noise=0.0, beta=1.0, backend="sparse", radius=-1.0
             )
 
+    def test_pinned_radius_over_full_pattern_limit_names_the_radius(self):
+        links = build_scenario("planar_uniform", n_links=5000, seed=0)
+        with pytest.raises(LinkError) as err:
+            build_sparse_affectance(links, np.ones(links.m), radius=1e6)
+        message = str(err.value)
+        assert "pinned radius 1e+06 covers the instance diameter" in message
+        assert "5000x5000" in message and "radius below the diameter" in message
+        assert "eps" not in message
+
+    def test_grown_radius_over_full_pattern_limit_names_eps(self):
+        links = build_scenario("planar_uniform", n_links=5000, seed=0)
+        with pytest.raises(LinkError) as err:
+            build_sparse_affectance(links, np.ones(links.m), eps=1e-12)
+        message = str(err.value)
+        assert "eps=1e-12 needs the complete 5000x5000" in message
+        assert "loosen eps or pass an explicit radius" in message
+        assert "pinned" not in message
+
     def test_check_context_pins_backend(self):
         links = make_planar_links(8, alpha=3.0, seed=0)
         dense, sparse = _dense_and_sparse(links)

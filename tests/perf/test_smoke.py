@@ -320,6 +320,31 @@ def test_sparse_scale_m10k_first_fit_and_churn_repair():
     )
 
 
+#: Sparse cold-start tier: the CSR build with its certified tails on the
+#: m=10^4 planar_uniform instance at the pinned radius 12 (the
+#: operating point of the scheduler daemon).  Observed on a busy-VM
+#: core: ~0.2 s, of which the far-field certificate table (two
+#: ``CellIndex.far_field_sums`` calls) is a few hundredths.  The
+#: per-pair table evaluation it replaced took ~2.6 s for the same call,
+#: so a regression to it fails the budget.
+SPARSE_BUILD_M10K_BUDGET = 1.5
+
+
+def test_sparse_build_m10k_under_budget():
+    """m=10^4 ``build_sparse_affectance`` at eps=0.2, radius=12, < 1.5 s."""
+    from repro.core.affectance_sparse import build_sparse_affectance
+
+    links = build_scenario("planar_uniform", n_links=10_000, seed=0)
+    powers = np.ones(links.m)
+    start = time.perf_counter()
+    sparse = build_sparse_affectance(links, powers, eps=0.2, radius=12.0)
+    elapsed = time.perf_counter() - start
+    assert sparse.radius == 12.0 and sparse.nnz > 0
+    assert elapsed < SPARSE_BUILD_M10K_BUDGET, (
+        f"m=10^4 sparse build took {elapsed:.2f}s"
+    )
+
+
 #: Sharded-scheduling tier (PR-9): the m=10^4 churn workload of the
 #: sparse tier routed through ~8 per-cell shard repairers.  Observed on
 #: a busy-VM core: ~1 s CSR build, ~2 s shard slicing + per-shard
