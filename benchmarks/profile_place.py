@@ -20,11 +20,13 @@ from-scratch anchor held slot members as growing Python *lists*, so
 every probe's ledger gather (``in_aff[slot] + av[slot]``) re-converted
 a list of up to thousands of ints into a fresh index array.  At m=10^4
 that one frame cost 3.1 s of a 5.5 s run (~60% of wall time, ~100x
-that at m=10^5 where the anchor is the whole story); the members now
-live in amortized-doubling numpy buffers, making each probe a pure
-array gather.  The repeated ``np.sort(np.fromiter(set))`` conversion in
-``_member_array`` (the per-probe allocation the incremental path pays)
-was caught by the same profile and is now cached per slot.  Re-run this
+that at m=10^5 where the anchor is the whole story).  The anchor now
+runs the shared ``first_fit_slots`` kernel, which looks each candidate's
+row support up in a slot-owner array instead of gathering over slot
+members, so a probe costs the row's degree.  The repeated
+``np.sort(np.fromiter(set))`` conversion in ``_member_array`` (the
+per-probe allocation the incremental path pays) was caught by the same
+profile and is now cached per slot.  Re-run this
 script to verify both frames have left the ``tottime`` leaderboard.
 """
 

@@ -61,6 +61,7 @@ __all__ = [
     "Schedule",
     "SchedulingContext",
     "combined_affectance_within",
+    "first_fit_slots",
     "slot_admission_sums",
 ]
 
@@ -80,32 +81,29 @@ class _AffectanceLedger:
     ``in_sum[v] = a_M(v)`` (column sums: what members do to ``v``) and
     ``out_sum[v] = a_v(M)`` (row sums: what ``v`` does to members) over the
     member set ``M``, for *every* link ``v``.  Members join one at a time
-    (``add`` — first-fit slots grow this way, exactly mirroring the
-    historical per-slot accumulation) or leave a peeled slot at a time
-    (``remove_slot`` — repeated capacity shrinks the remaining set this
-    way, one vectorized subtraction per round instead of re-slicing the
-    full matrix).  All state is local to the algorithm invocation; the
-    context's caches are never touched.
+    (``add`` — a link-subset view is seeded this way, in ascending index
+    order) or leave a peeled slot at a time (``remove_slot`` — repeated
+    capacity shrinks the remaining set this way, one vectorized
+    subtraction per round instead of re-slicing the full matrix).  All
+    state is local to the algorithm invocation; the context's caches are
+    never touched.
     """
 
     __slots__ = ("a", "dense", "mask", "in_sum", "out_sum", "count")
 
-    def __init__(self, a, *, full: bool, track_out: bool = True) -> None:
+    def __init__(self, a, *, full: bool) -> None:
         m = a.shape[0]
         self.a = a
         self.dense = isinstance(a, np.ndarray)
         if full:
             self.mask = np.ones(m, dtype=bool)
             self.in_sum = a.sum(axis=0) if self.dense else a.sum_axis0()
-            if track_out:
-                self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
-            else:
-                self.out_sum = None
+            self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
             self.count = m
         else:
             self.mask = np.zeros(m, dtype=bool)
             self.in_sum = np.zeros(m)
-            self.out_sum = np.zeros(m) if track_out else None
+            self.out_sum = np.zeros(m)
             self.count = 0
 
     def add(self, v: int) -> None:
@@ -113,15 +111,13 @@ class _AffectanceLedger:
         self.mask[v] = True
         if self.dense:
             self.in_sum += self.a[v]
-            if self.out_sum is not None:
-                self.out_sum += self.a[:, v]
+            self.out_sum += self.a[:, v]
         else:
             # Scatter over the stored pattern: unstored entries add an
             # exact 0.0, so the sums match the dense accumulation float
             # for float whenever the pattern holds the pairs.
             self.a.add_row_to(self.in_sum, v)
-            if self.out_sum is not None:
-                self.a.add_col_to(self.out_sum, v)
+            self.a.add_col_to(self.out_sum, v)
         self.count += 1
 
     def remove_slot(self, members: Sequence[int]) -> None:
@@ -130,12 +126,10 @@ class _AffectanceLedger:
         self.mask[idx] = False
         if self.dense:
             self.in_sum -= self.a[idx].sum(axis=0)
-            if self.out_sum is not None:
-                self.out_sum -= self.a[:, idx].sum(axis=1)
+            self.out_sum -= self.a[:, idx].sum(axis=1)
         else:
             self.in_sum -= self.a.rows_sum(idx)
-            if self.out_sum is not None:
-                self.out_sum -= self.a.cols_sum(idx)
+            self.out_sum -= self.a.cols_sum(idx)
         self.count -= idx.size
 
 
@@ -232,6 +226,58 @@ def check_context(
             f"but this call requires {backend!r}"
         )
     return context
+
+
+def first_fit_slots(a, order: Iterable[int], n: int) -> list[list[int]]:
+    """First-fit ``order`` into slots under exact feasibility.
+
+    ``a`` is the raw affectance over ``n`` links — a dense ``(n, n)``
+    ndarray or a sparse view — and each link goes to the earliest slot
+    where the slot's in-affectance on it stays at most 1 and every
+    member's in-affectance with its row added stays at most 1; failing
+    all, it opens a new slot.  Returns the slots' members in placement
+    order.
+
+    The member check probes only the candidate's row support, looked up
+    through an owner array (``owner[u]`` is one plus ``u``'s slot, 0
+    while unplaced).  That is exact: a member's in-affectance within its
+    slot is at most 1 at all times (it passed the check on joining, and
+    every later join re-checked it), so a member outside the row support,
+    which gains an exact 0.0, always passes.  Every compared float is the
+    one a scan over all members compares, and each slot's ledger grows
+    by the same additions, so the slots match that scan exactly.  The
+    cost per link is linear in its row support plus the slot count.
+    """
+    if isinstance(a, np.ndarray):
+        everyone = np.arange(n)
+
+        def row(v: int) -> tuple[np.ndarray, np.ndarray]:
+            return everyone, a[v]
+    else:
+        row = a.row
+    owner = np.zeros(n, dtype=np.int64)
+    # ledger[t + 1] holds a_slot(u) for slot t and every link u; row 0 is
+    # the all-zero ledger the unplaced links' owner entries point at.
+    ledger = np.zeros((4, n))
+    slots: list[list[int]] = []
+    for v in order:
+        v = int(v)
+        idx, val = row(v)
+        own = owner[idx]
+        blocked = ledger[: len(slots) + 1, v] > 1.0
+        # Negated <= so that a NaN load blocks, as in the full scan.
+        blocked[own[~(ledger[own, idx] + val <= 1.0)]] = True
+        blocked[0] = True
+        t = int(blocked.argmin())  # first open slot row; 0 if none
+        if t == 0:
+            slots.append([])
+            t = len(slots)
+            if t == ledger.shape[0]:
+                ledger = np.concatenate([ledger, np.zeros_like(ledger)])
+        slots[t - 1].append(v)
+        ledger[t][idx] += val
+        owner[v] = t
+    return slots
 
 
 def _validated_order(order: Sequence[int], m: int) -> list[int]:
@@ -478,8 +524,23 @@ class SchedulingContext:
         if active is None:
             return order
         mask = np.zeros(self.m, dtype=bool)
-        mask[np.asarray(list(active), dtype=int)] = True
+        mask[self._active_indices(active)] = True
         return order[mask[order]]
+
+    def _active_indices(self, active: Iterable[int]) -> np.ndarray:
+        """``active`` as an index array, checked to lie in ``0..m-1``.
+
+        Numpy would wrap a negative index around to the wrong link, as
+        :meth:`LinkSet.subset` guards against too.
+        """
+        idx = np.asarray(list(active), dtype=int)
+        bad = idx[(idx < 0) | (idx >= self.m)]
+        if bad.size:
+            raise LinkError(
+                f"active link indices must be in 0..{self.m - 1}, got "
+                f"{bad[:5].tolist()}"
+            )
+        return idx
 
     def in_affectances(self, subset: Iterable[int]) -> np.ndarray:
         """``a_S(v)`` for every ``v`` in ``subset`` (unclipped, aligned)."""
@@ -626,12 +687,14 @@ class SchedulingContext:
 
         Links are processed shortest-first (or in the given ``order``,
         which must be a permutation of all link indices) and placed in the
-        earliest slot that stays feasible with them added; the per-slot
-        membership check is a single vectorized comparison.  Each slot's
-        running in-affectances live in an :class:`_AffectanceLedger` — the
-        same delta structure repeated capacity peels slots with — grown by
-        the identical per-admission accumulation as the historical loop, so
-        the slots are byte-identical to it.
+        earliest slot that stays feasible with them added.  Both backends
+        run the one kernel :func:`first_fit_slots`: each slot keeps a
+        running in-affectance ledger, and an owner array maps every placed
+        link to its slot, so a candidate is checked only against the
+        members in its row support.  Members outside the support gain an
+        exact 0.0 and, because a member's in-affectance never exceeds 1,
+        pass anyway; the slots are byte-identical to a scan over every
+        member, at a cost linear in the row support per link.
 
         ``active`` restricts scheduling to a link-subset view: only the
         given links are placed, in the global precedence order restricted
@@ -643,77 +706,12 @@ class SchedulingContext:
         is refused rather than half-honoured).
         """
         if order is None:
-            sequence = [int(v) for v in self._active_order(active)]
+            sequence = self._active_order(active)
         elif active is not None:
             raise LinkError("pass either an explicit order or active, not both")
         else:
             sequence = _validated_order(order, self.m)
-        if self._backend == "sparse":
-            return self._first_fit_sparse(sequence)
-        a = self.raw_affectance
-        slots: list[list[int]] = []
-        ledgers: list[_AffectanceLedger] = []  # per-slot a_slot(v), all v
-        for v in sequence:
-            av = a[v]
-            placed = False
-            for t, slot in enumerate(slots):
-                in_aff = ledgers[t].in_sum
-                if in_aff[v] > 1.0:
-                    continue
-                if np.all(in_aff[slot] + av[slot] <= 1.0):
-                    slot.append(v)
-                    ledgers[t].add(v)
-                    placed = True
-                    break
-            if not placed:
-                slots.append([v])
-                ledger = _AffectanceLedger(a, full=False, track_out=False)
-                ledger.add(v)
-                ledgers.append(ledger)
-        return tuple(tuple(sorted(s)) for s in slots)
-
-    def _first_fit_sparse(
-        self, sequence: list[int]
-    ) -> tuple[tuple[int, ...], ...]:
-        """First-fit over the CSR rows: probe only slot-support overlaps.
-
-        The member-side check exploits the slot invariant — every
-        member's in-affectance within its slot is at most 1 at all times
-        — so members outside the candidate's row support (who would gain
-        an exact 0.0) pass unconditionally, and only the overlap of the
-        slot with the row's support is compared.  On a complete pattern
-        the compared floats are the dense path's, so the slots are
-        byte-identical to it.
-        """
-        a = self.raw_affectance
-        slots: list[list[int]] = []
-        members: list[np.ndarray] = []  # sorted member arrays per slot
-        sums: list[np.ndarray] = []  # per-slot a_slot(v) ledgers
-        for v in sequence:
-            idx, val = a.row(v)
-            placed = False
-            for t in range(len(slots)):
-                in_aff = sums[t]
-                if in_aff[v] > 1.0:
-                    continue
-                mem = members[t]
-                if idx.size:
-                    pos = np.searchsorted(idx, mem)
-                    pos_c = np.minimum(pos, idx.size - 1)
-                    hit = idx[pos_c] == mem
-                    if np.any(in_aff[mem[hit]] + val[pos_c[hit]] > 1.0):
-                        continue
-                slots[t].append(v)
-                members[t] = np.insert(mem, np.searchsorted(mem, v), v)
-                in_aff[idx] += val
-                placed = True
-                break
-            if not placed:
-                slots.append([v])
-                members.append(np.array([v], dtype=int))
-                fresh = np.zeros(self.m)
-                fresh[idx] = val
-                sums.append(fresh)
+        slots = first_fit_slots(self.raw_affectance, sequence, self.m)
         return tuple(tuple(sorted(s)) for s in slots)
 
     def repeated_capacity(
@@ -784,7 +782,7 @@ class SchedulingContext:
             # subset would hold, and the remaining-set mask confines every
             # round to the view.
             ledger = _AffectanceLedger(a, full=False)
-            for v in np.unique(np.asarray(list(active), dtype=int)):
+            for v in np.unique(self._active_indices(active)):
                 ledger.add(int(v))
         slots: list[tuple[int, ...]] = []
         cap = max_slots if max_slots is not None else self.m

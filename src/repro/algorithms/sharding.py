@@ -527,11 +527,6 @@ class ShardedContext:
         """Number of shards (= ``layout.n_shards``)."""
         return self.layout.n_shards
 
-    @property
-    def shard_contexts(self) -> tuple[SchedulingContext | None, ...]:
-        """The per-shard subset contexts (None for empty shards)."""
-        return tuple(self._ctxs)
-
     # ------------------------------------------------------------------
     def _run_shards(self, fn: Callable[[int], object]) -> list[list[np.ndarray]]:
         """Run a per-shard kernel, mapping local slots to global ids."""

@@ -161,14 +161,6 @@ class _SparseView:
         idx, val = self.col(int(v))
         out[idx] += val
 
-    def sub_row_from(self, out: np.ndarray, v: int) -> None:
-        idx, val = self.row(int(v))
-        out[idx] -= val
-
-    def sub_col_from(self, out: np.ndarray, v: int) -> None:
-        idx, val = self.col(int(v))
-        out[idx] -= val
-
     def rows_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
         """``a[members].sum(axis=0)`` over the full width.
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
 
 import numpy as np
 
@@ -669,10 +668,3 @@ def phi(space: DecaySpace | np.ndarray) -> float:
     if v <= 0:
         return float("-inf")
     return float(np.log2(v))
-
-
-def metricities_along(
-    spaces: Sequence[DecaySpace], tol: float = 1e-9
-) -> np.ndarray:
-    """Metricity of each space in a sequence (convenience for sweeps)."""
-    return np.array([metricity(s, tol=tol) for s in spaces])

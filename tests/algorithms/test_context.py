@@ -26,6 +26,7 @@ from repro.core.feasibility import is_feasible
 from repro.core.power import uniform_power
 from repro.core.separation import link_distance_matrix
 from repro.errors import LinkError
+from repro.scenarios import build_scenario
 from tests.conftest import make_planar_links
 
 
@@ -146,6 +147,40 @@ class TestCapacityEquivalence:
         assert ctx.repeated_capacity(admission="general") == (
             SchedulingContext(links).repeated_capacity(admission="general")
         )
+
+
+class TestActiveValidation:
+    """``active=`` takes link positions 0..m-1 only: numpy would wrap a
+    negative index around to another link instead of failing."""
+
+    @pytest.fixture
+    def ctx(self):
+        return SchedulingContext(build_scenario("planar_uniform", 20, seed=0))
+
+    @pytest.mark.parametrize("active", [[-1, 3], [-2], [3, 20], [25]])
+    def test_first_fit_rejects_out_of_range(self, ctx, active):
+        with pytest.raises(LinkError, match="active link indices"):
+            ctx.first_fit(active=active)
+
+    @pytest.mark.parametrize("active", [[-2], [0, 20]])
+    def test_capacity_general_rejects_out_of_range(self, ctx, active):
+        with pytest.raises(LinkError, match="active link indices"):
+            ctx.capacity_general(active=active)
+        with pytest.raises(LinkError, match="active link indices"):
+            ctx.capacity_bounded_growth(active=active)
+
+    @pytest.mark.parametrize("active", [[-1], [5, 20]])
+    def test_repeated_capacity_rejects_out_of_range(self, ctx, active):
+        with pytest.raises(LinkError, match="active link indices"):
+            ctx.repeated_capacity(active=active)
+
+    def test_in_range_subsets_still_schedule(self, ctx):
+        assert ctx.first_fit(active=[3, 19]) in (((3, 19),), ((3,), (19,)))
+        assert ctx.first_fit(active=[]) == ()
+        assert ctx.capacity_general(active=[18])[0] == (18,)
+        assert sorted(
+            v for s in ctx.repeated_capacity(active=[0, 19]) for v in s
+        ) == [0, 19]
 
 
 class TestSchedulingEquivalence:

@@ -385,3 +385,28 @@ def test_sharded_scale_m10k_under_budget():
     assert elapsed < SHARDED_M10K_BUDGET, (
         f"m=10^4 sharded churn repair took {elapsed:.2f}s"
     )
+
+
+#: Static first-fit tier: m=3*10^4 planar_uniform on the sparse backend
+#: at the daemon's operating point (eps=0.2, radius 12).  The kernel
+#: probes each candidate's row support through a slot-owner array, so
+#: the pass is linear in the stored entries: ~0.4 s on a shared
+#: 2-vCPU VM.  A member-array scan per slot is quadratic here (the
+#: first slot holds ~9 in 10 links) and took ~5 s, so it fails.
+SPARSE_FIRST_FIT_M30K_BUDGET = 2.0
+
+
+def test_sparse_first_fit_m30k_under_budget():
+    """m=3*10^4 sparse ``first_fit`` (CSR prebuilt), < 2 s."""
+    links = build_scenario("planar_uniform", n_links=30_000, seed=0)
+    ctx = SchedulingContext(
+        links, noise=0.0, beta=1.0, backend="sparse", eps=0.2, radius=12.0
+    )
+    ctx.sparse_affectance  # build outside the timed section
+    start = time.perf_counter()
+    schedule = ctx.first_fit()
+    elapsed = time.perf_counter() - start
+    assert sorted(v for slot in schedule for v in slot) == list(range(30_000))
+    assert elapsed < SPARSE_FIRST_FIT_M30K_BUDGET, (
+        f"m=3*10^4 sparse first-fit took {elapsed:.2f}s"
+    )
