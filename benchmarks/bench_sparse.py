@@ -220,11 +220,12 @@ def _churn_repair(links, scn, *, shards=None):
         driver = ChurnDriver(dyn, scn)
         rep = OnlineRepairScheduler(dyn)
     else:
-        sdyn = ShardedContext(
+        sharded = ShardedContext(
             ctx, target_links_per_shard=max(1, links.m // shards)
-        ).dynamic()
-        driver = ChurnDriver(sdyn, scn)
-        rep = ShardedRepairScheduler(sdyn, kind="first_fit")
+        )
+        dyn = ctx.dynamic()
+        driver = ChurnDriver(dyn, scn)
+        rep = ShardedRepairScheduler(dyn, sharded.layout, kind="first_fit")
     for ev in scn.events:
         rep.apply(*driver.step(ev.slot))
     rep.active_schedule

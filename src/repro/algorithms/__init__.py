@@ -52,7 +52,6 @@ from repro.algorithms.scheduling import (
 from repro.algorithms.sharding import (
     ShardLayout,
     ShardedContext,
-    ShardedDynamicContext,
     ShardedRepairScheduler,
     build_shard_layout,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SchedulingContext",
     "ShardLayout",
     "ShardedContext",
-    "ShardedDynamicContext",
     "ShardedRepairScheduler",
     "build_shard_layout",
     "affectance_conflict_graph",

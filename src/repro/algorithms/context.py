@@ -376,7 +376,7 @@ class SchedulingContext:
                 raise LinkError(
                     f"sparse tail tolerance eps must be positive, got {eps}"
                 )
-            if self._radius is not None and self._radius <= 0:
+            if self._radius is not None and not self._radius > 0:
                 raise LinkError(
                     f"interaction radius must be positive, got {radius}"
                 )
@@ -1021,6 +1021,12 @@ class DynamicContext:
             if self._eps <= 0:
                 raise LinkError(
                     f"sparse tail tolerance eps must be positive, got {eps}"
+                )
+            # Checked here, not at the first arrival: a bad radius would
+            # otherwise fail inside add_links after it took a free slot.
+            if self._radius is not None and not self._radius > 0:
+                raise LinkError(
+                    f"interaction radius must be positive, got {radius}"
                 )
         self._space = space
         self._noise = float(noise)

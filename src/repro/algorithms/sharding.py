@@ -49,12 +49,12 @@ Two coordination layers share that layout:
     work: one repair scheduler per shard, restricted to its interior
     links through the ``universe=`` subset view, so every placement
     probe scans slots that are ~k times smaller, and independent shards
-    repair concurrently.  :class:`ShardedDynamicContext` wraps the
-    shared context with ownership routing so a
-    :class:`~repro.dynamics.ChurnDriver` (and
-    :func:`~repro.distributed.stability.run_queue_simulation`) drive it
-    unchanged.  The merged, certified global schedule is materialized
-    lazily and cached between events.
+    repair concurrently.  The coordinator takes the plain shared context
+    and the :class:`ShardLayout`; a :class:`~repro.dynamics.ChurnDriver`
+    drives that context exactly as in the serial case, and each arrival
+    is routed to the shard of its receiver's cell, read off the layout's
+    partition when the batch is applied.  The merged, certified global
+    schedule is materialized lazily and cached between events.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.algorithms.context import (
+    DynamicContext,
     Schedule,
     SchedulingContext,
     combined_affectance_within,
@@ -90,7 +91,6 @@ from repro.errors import LinkError
 __all__ = [
     "ShardLayout",
     "ShardedContext",
-    "ShardedDynamicContext",
     "ShardedRepairScheduler",
     "build_shard_layout",
 ]
@@ -611,191 +611,10 @@ class ShardedContext:
         )
         return self._merge(per_shard, threshold=_CAPACITY_THRESHOLD)
 
-    # ------------------------------------------------------------------
-    def dynamic(self, capacity: int | None = None) -> "ShardedDynamicContext":
-        """A churn-ready facade over one shared dynamic context."""
-        return ShardedDynamicContext(self, capacity=capacity)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedContext(m={self.context.m}, "
             f"n_shards={self.n_shards}, workers={self.max_workers})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Dynamic facade
-# ----------------------------------------------------------------------
-class ShardedDynamicContext:
-    """A :class:`DynamicContext` facade with shard-ownership routing.
-
-    Churn mutates **one** shared dynamic context (``self.dyn``) — the
-    O(degree) adjacency updates are not worth sharding — while this
-    wrapper maintains ``owner_of``: the shard of every occupied slot's
-    receiver cell, resolved through the layout's partition (total under
-    churn by the predecessor rule, even for cells that were empty at
-    partition time).  A :class:`~repro.dynamics.ChurnDriver` drives the
-    facade exactly like a bare context.
-    """
-
-    def __init__(
-        self, sharded: ShardedContext, capacity: int | None = None
-    ) -> None:
-        self.sharded = sharded
-        self.layout = sharded.layout
-        self.dyn = sharded.context.dynamic(capacity)
-        self._owner = np.full(self.dyn.capacity, -1, dtype=np.int64)
-        self._owner[: self.layout.m] = self.layout.owner
-
-    @classmethod
-    def from_layout(
-        cls,
-        layout: ShardLayout,
-        dyn,
-        owner: np.ndarray | None = None,
-    ) -> "ShardedDynamicContext":
-        """Wrap an existing dynamic context with a prebuilt layout.
-
-        The checkpoint-restore path: the context was rebuilt slot for
-        slot from an archive (so its active set need not match the
-        layout's initial population any more), the layout came from its
-        sidecar, and ``owner`` is the persisted per-slot routing table.
-        Without ``owner`` the table is re-derived from the receivers'
-        cells — exactly how live churn maintains it, so the two agree
-        whenever both are available.
-        """
-        self = cls.__new__(cls)
-        self.sharded = None
-        self.layout = layout
-        self.dyn = dyn
-        self._owner = np.full(dyn.capacity, -1, dtype=np.int64)
-        if owner is not None:
-            owner = np.asarray(owner, dtype=np.int64)
-            if owner.size > dyn.capacity:
-                raise LinkError(
-                    f"persisted owner table covers {owner.size} slots, "
-                    f"the context only holds {dyn.capacity}"
-                )
-            self._owner[: owner.size] = owner
-        else:
-            act = dyn.active_slots
-            if act.size:
-                geo = dyn.space.geometry
-                pts = geo.points[dyn.receivers[act]]
-                self._owner[act] = layout.partition.shard_of_points(pts)
-        return self
-
-    # -- ownership ------------------------------------------------------
-    def owner_of(self, slots: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Shard id of each context slot (-1: never occupied)."""
-        return self._owner[np.asarray(slots, dtype=int)]
-
-    def _grow_owner(self) -> None:
-        if self.dyn.capacity > self._owner.size:
-            grown = np.full(self.dyn.capacity, -1, dtype=np.int64)
-            grown[: self._owner.size] = self._owner
-            self._owner = grown
-
-    # -- mutation -------------------------------------------------------
-    def add_links(self, links, powers=None) -> list[int]:
-        slots = self.dyn.add_links(links, powers)
-        if slots:
-            self._grow_owner()
-            idx = np.asarray(slots, dtype=int)
-            geo = self.dyn.space.geometry
-            pts = geo.points[self.dyn.receivers[idx]]
-            self._owner[idx] = self.layout.partition.shard_of_points(pts)
-        return slots
-
-    def add_link(self, sender: int, receiver: int, power: float = 1.0) -> int:
-        return self.add_links([(int(sender), int(receiver))], powers=power)[0]
-
-    def remove_links(self, slots) -> None:
-        # Owners are kept: the repair coordinator routes the departure
-        # to the shard that held the link, and a later reuse of the slot
-        # overwrites the entry.
-        self.dyn.remove_links(slots)
-
-    def freeze(self) -> SchedulingContext:
-        return self.dyn.freeze()
-
-    # -- read-side delegation ------------------------------------------
-    @property
-    def space(self):
-        return self.dyn.space
-
-    @property
-    def m(self) -> int:
-        return self.dyn.m
-
-    @property
-    def capacity(self) -> int:
-        return self.dyn.capacity
-
-    @property
-    def active_slots(self) -> np.ndarray:
-        return self.dyn.active_slots
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        return self.dyn.active_mask
-
-    @property
-    def raw_affectance(self):
-        return self.dyn.raw_affectance
-
-    @property
-    def affectance(self):
-        return self.dyn.affectance
-
-    @property
-    def senders(self) -> np.ndarray:
-        return self.dyn.senders
-
-    @property
-    def receivers(self) -> np.ndarray:
-        return self.dyn.receivers
-
-    @property
-    def powers(self) -> np.ndarray:
-        return self.dyn.powers
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.dyn.lengths
-
-    @property
-    def noise(self) -> float:
-        return self.dyn.noise
-
-    @property
-    def beta(self) -> float:
-        return self.dyn.beta
-
-    @property
-    def zeta(self) -> float:
-        return self.dyn.zeta
-
-    @property
-    def backend(self) -> str:
-        return self.dyn.backend
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.dyn.is_sparse
-
-    @property
-    def eps(self) -> float:
-        return self.dyn.eps
-
-    @property
-    def radius(self) -> float | None:
-        return self.dyn.radius
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedDynamicContext(m={self.dyn.m}, "
-            f"n_shards={self.layout.n_shards})"
         )
 
 
@@ -819,11 +638,18 @@ class ShardedRepairScheduler:
     is the per-shard schedules aligned by slot index and re-certified
     (:func:`_certify_merge`), materialized lazily and cached until the
     next applied event.  With one shard the merge is the identity.
+
+    ``dyn`` is the shared :class:`~repro.algorithms.context
+    .DynamicContext` (its slots ``0 .. layout.m-1`` hold the links the
+    layout was built over) and ``layout`` the :class:`ShardLayout` that
+    assigns them; a churn driver mutates ``dyn`` directly and passes the
+    applied slots to :meth:`apply`.
     """
 
     def __init__(
         self,
-        sdyn: ShardedDynamicContext,
+        dyn: DynamicContext,
+        layout: ShardLayout,
         *,
         kind: str = "first_fit",
         cascade: int = 1,
@@ -847,11 +673,15 @@ class ShardedRepairScheduler:
                 "compaction_every only applies to kind='capacity'; "
                 "first-fit shard repairers never compact"
             )
-        self.sdyn = sdyn
-        self.dyn = sdyn.dyn
+        if layout.m > dyn.capacity:
+            raise LinkError(
+                f"layout covers {layout.m} links, the context only holds "
+                f"{dyn.capacity} slots"
+            )
+        self.dyn = dyn
+        self.layout = layout
         self.kind = kind
         self.admission = admission
-        layout = sdyn.layout
         self.max_workers = _resolve_workers(layout.n_shards, max_workers)
         #: Links the merge certification displaced from their
         #: shard-assigned slot, cumulative over materializations.
@@ -1001,7 +831,12 @@ class ShardedRepairScheduler:
             grown[: self._home.size] = self._home
             self._home = grown
         if arr:
-            owners = self.sdyn.owner_of(arr)
+            # An arrival belongs to the shard of its receiver's cell; the
+            # partition is total, so cells empty at layout time resolve too.
+            points = self.dyn.space.geometry.points
+            owners = self.layout.partition.shard_of_points(
+                points[self.dyn.receivers[np.asarray(arr, dtype=np.int64)]]
+            )
             for s, k in zip(arr, owners):
                 k = int(k)
                 prev = int(self._home[s])

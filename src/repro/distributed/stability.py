@@ -41,7 +41,12 @@ from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
 )
-from repro.algorithms.sharding import ShardedContext, ShardedRepairScheduler
+from repro.algorithms.sharding import (
+    ShardedContext,
+    ShardedRepairScheduler,
+    ShardLayout,
+    build_shard_layout,
+)
 from repro.core.affectance import feasible_within
 from repro.core.affectance_sparse import add_row_to, member_block
 from repro.core.links import LinkSet
@@ -243,7 +248,7 @@ def run_queue_simulation(
     coordinator (:class:`~repro.algorithms.sharding.ShardedRepairScheduler`):
     an ``int`` partitions the context's links into that many cell
     shards, or a prebuilt
-    :class:`~repro.algorithms.sharding.ShardedContext` is adopted as-is
+    :class:`~repro.algorithms.sharding.ShardedContext` lends its layout
     (its wrapped context becomes the simulation context).  Requires a
     sparse-backend context and ``scheduler`` in ``"repair"`` /
     ``"capacity_repair"`` — the rebuild baselines are single-context by
@@ -312,14 +317,14 @@ def run_queue_simulation(
     if context is not None:
         check_context(context, links, noise, beta, powers)
 
-    sharded_ctx: ShardedContext | None = None
+    layout: ShardLayout | None = None
     if isinstance(shards, ShardedContext):
         if context is not None and context is not shards.context:
             raise SimulationError(
                 "the prebuilt ShardedContext wraps a different context "
                 "than the one passed via context="
             )
-        sharded_ctx = shards
+        layout = shards.layout
         context = shards.context
         check_context(context, links, noise, beta, powers)
     base = (
@@ -327,16 +332,15 @@ def run_queue_simulation(
         if context is not None
         else SchedulingContext(links, powers, noise=noise, beta=beta)
     )
-    if shards is not None and sharded_ctx is None:
+    if shards is not None and layout is None:
         if base.backend != "sparse":
             raise SimulationError(
                 "shards= needs a sparse-backend context; pass "
                 "context=SchedulingContext(..., backend='sparse')"
             )
-        sharded_ctx = ShardedContext(base, shards=int(shards))
+        layout = build_shard_layout(base, shards=int(shards))
     if churn is None and scheduler == "policy":
         dyn = None
-        sdyn = None
         driver = None
         a = base.raw_affectance
         act = np.arange(links.m)  # the active set never changes
@@ -345,27 +349,19 @@ def run_queue_simulation(
         # Churn mode (and every scheduler-maintained run): the
         # incremental context absorbs arrivals and departures in O(m)
         # per event; the loop never rebuilds a matrix.
-        if sharded_ctx is not None:
-            # Sharded mode: churn mutates the one shared dynamic
-            # context through the ownership-routing facade.
-            sdyn = sharded_ctx.dynamic()
-            dyn = sdyn.dyn
-            driven = sdyn
-        else:
-            sdyn = None
-            dyn = base.dynamic()
-            driven = dyn
+        dyn = base.dynamic()
         driver = (
-            ChurnDriver(driven, churn, power=power)
+            ChurnDriver(dyn, churn, power=power)
             if churn is not None
             else None
         )
         a = dyn.raw_affectance  # padded; grows only if capacity doubles
         act = dyn.active_slots
         queues = np.zeros(dyn.capacity)
-    if sdyn is not None:
+    if layout is not None:
         repairer = ShardedRepairScheduler(
-            sdyn,
+            dyn,
+            layout,
             kind=(
                 "capacity" if scheduler == "capacity_repair" else "first_fit"
             ),

@@ -41,15 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms import sharding
 from repro.algorithms.context import DynamicContext, SchedulingContext
 from repro.algorithms.repair import (
     CapacityRepairScheduler,
     OnlineRepairScheduler,
-)
-from repro.algorithms.sharding import (
-    ShardedContext,
-    ShardedDynamicContext,
-    ShardedRepairScheduler,
 )
 from repro.dynamics import ChurnDriver, ChurnEvent, DynamicScenario
 from repro.errors import SimulationError
@@ -72,12 +68,13 @@ class DaemonConfig:
     """How a daemon wires its repair scheduler.
 
     ``shards=0`` runs the serial repairer; any positive count routes
-    events through :class:`ShardedRepairScheduler` over a sharded
-    facade (sparse backend required).  ``batch`` > 1 turns on
-    deterministic micro-batching: the worker merges exactly that many
-    consecutive events into one context update + repair pass, which
-    amortises the per-call overhead of the vectorised kernels (the
-    main throughput lever at large ``m``).  Chunk boundaries depend
+    events through :class:`~repro.algorithms.sharding
+    .ShardedRepairScheduler` over the same dynamic context and a
+    cell-shard layout (sparse backend required).
+    ``batch`` > 1 turns on deterministic micro-batching: the worker
+    merges exactly that many consecutive events into one context
+    update + repair pass, which amortises the per-call overhead of the
+    vectorised kernels (the main throughput lever at large ``m``).  Chunk boundaries depend
     only on the event stream — every ``batch``-th event, or earlier
     when a departure references an id that arrived within the open
     chunk — so a replay is reproducible and a checkpoint taken at a
@@ -164,11 +161,16 @@ class DaemonConfig:
         )
 
 
-def _make_repairer(target, config: DaemonConfig, *, anchor: bool):
-    """Construct the repairer shape a config describes over ``target``."""
+def _make_repairer(dyn, layout, config: DaemonConfig, *, anchor: bool):
+    """Construct the repairer shape a config describes over ``dyn``.
+
+    ``layout`` is the shard layout of a sharded config (``None`` when
+    unsharded).
+    """
     if config.shards:
-        return ShardedRepairScheduler(
-            target,
+        return sharding.ShardedRepairScheduler(
+            dyn,
+            layout,
             kind=config.kind,
             cascade=config.cascade,
             rebuild_every=config.rebuild_every,
@@ -180,7 +182,7 @@ def _make_repairer(target, config: DaemonConfig, *, anchor: bool):
         )
     if config.kind == "capacity":
         return CapacityRepairScheduler(
-            target,
+            dyn,
             admission=config.admission,
             cascade=config.cascade,
             rebuild_every=config.rebuild_every,
@@ -190,7 +192,7 @@ def _make_repairer(target, config: DaemonConfig, *, anchor: bool):
             anchor=anchor,
         )
     return OnlineRepairScheduler(
-        target,
+        dyn,
         cascade=config.cascade,
         rebuild_every=config.rebuild_every,
         max_slots=config.max_slots,
@@ -216,28 +218,24 @@ def build_daemon(
     .submit`/``admit``/``depart`` advance the same id vocabulary.
     """
     config = config or DaemonConfig()
-    if config.shards:
-        if backend != "sparse":
-            raise SimulationError(
-                "sharded daemons need backend='sparse'; the shard "
-                "layout rides on the certified interaction radius"
-            )
-        ctx = SchedulingContext(
-            scenario.initial_links(), backend="sparse", eps=eps, radius=radius
+    if config.shards and backend != "sparse":
+        raise SimulationError(
+            "sharded daemons need backend='sparse'; the shard "
+            "layout rides on the certified interaction radius"
         )
-        facade = ShardedContext(ctx, shards=config.shards).dynamic()
-        driver = ChurnDriver(facade, scenario, power=power)
-        repairer = _make_repairer(facade, config, anchor=True)
-    else:
-        dyn = DynamicContext(
-            scenario.space,
-            scenario.initial_links(),
-            backend=backend,
-            eps=eps,
-            radius=radius,
-        )
-        driver = ChurnDriver(dyn, scenario, power=power)
-        repairer = _make_repairer(dyn, config, anchor=True)
+    ctx = SchedulingContext(
+        scenario.initial_links(), backend=backend, eps=eps, radius=radius
+    )
+    dyn = ctx.dynamic()
+    # Looked up on the module, so a tracer that patches the layout
+    # builder there sees this call.
+    layout = (
+        sharding.build_shard_layout(ctx, shards=config.shards)
+        if config.shards
+        else None
+    )
+    driver = ChurnDriver(dyn, scenario, power=power)
+    repairer = _make_repairer(dyn, layout, config, anchor=True)
     return SchedulerDaemon(
         driver, repairer, config, latency_window=latency_window
     )
@@ -263,10 +261,8 @@ class SchedulerDaemon:
         self.driver = driver
         self.repairer = repairer
         self.config = config
-        #: The facade (sharded) or the context itself (serial).
-        self.target = driver.dyn
-        #: The underlying :class:`DynamicContext` holding the arrays.
-        self.core: DynamicContext = getattr(driver.dyn, "dyn", driver.dyn)
+        #: The :class:`DynamicContext` the driver mutates.
+        self.target: DynamicContext = driver.dyn
         self._admit_lat: deque[float] = deque(maxlen=latency_window)
         self._event_lat: deque[float] = deque(maxlen=latency_window)
         self._queue: asyncio.Queue | None = None
@@ -510,7 +506,7 @@ class SchedulerDaemon:
         repair = self.repairer.stats
         admit = np.array(self._admit_lat) if self._admit_lat else None
         return {
-            "m": int(self.core.m),
+            "m": int(self.target.m),
             "slot_count": int(self.repairer.slot_count),
             "deferred": len(self.repairer.deferred),
             "processed": self._processed,
@@ -529,7 +525,7 @@ class SchedulerDaemon:
 
     def snapshot(self) -> dict:
         """The live schedule in the stable link-id vocabulary."""
-        slots = self.core.active_slots
+        slots = self.target.active_slots
         ids = self.driver.ids_of(slots)
         placed = [self.repairer.slot_of(int(s)) for s in slots]
         return {
@@ -551,46 +547,43 @@ class SchedulerDaemon:
         return p.with_name(name + ".layout.npz")
 
     def _context_payload(self) -> dict[str, np.ndarray]:
-        core = self.core
-        active = core.active_slots
+        dyn = self.target
+        active = dyn.active_slots
         hi = int(active.max()) + 1 if active.size else 0
-        mask = core.active_mask[:hi]
+        mask = dyn.active_mask[:hi]
         holes = np.flatnonzero(~mask)
-        senders = core.senders[:hi].copy()
-        receivers = core.receivers[:hi].copy()
-        powers = core.powers[:hi].copy()
+        senders = dyn.senders[:hi].copy()
+        receivers = dyn.receivers[:hi].copy()
+        powers = dyn.powers[:hi].copy()
         if holes.size:
             # Filler links occupy the holes during reconstruction (the
             # constructor packs densely); any valid pair works because
             # they are removed before the context is handed out.
             if active.size:
-                fs, fr = int(core.senders[active[0]]), int(
-                    core.receivers[active[0]]
+                fs, fr = int(dyn.senders[active[0]]), int(
+                    dyn.receivers[active[0]]
                 )
             else:  # pragma: no cover - hi == 0 leaves no holes
                 fs, fr = 0, 1
             senders[holes] = fs
             receivers[holes] = fr
             powers[holes] = 1.0
-        payload = {
+        return {
             "ctx_senders": senders.astype(np.int64),
             "ctx_receivers": receivers.astype(np.int64),
             "ctx_powers": powers,
             "ctx_holes": holes.astype(np.int64),
-            "ctx_caps": np.array([core.capacity, hi], dtype=np.int64),
+            "ctx_caps": np.array([dyn.capacity, hi], dtype=np.int64),
             "ctx_params": np.array(
                 [
-                    core.noise,
-                    core.beta,
-                    core.eps,
-                    np.nan if core.radius is None else core.radius,
+                    dyn.noise,
+                    dyn.beta,
+                    dyn.eps,
+                    np.nan if dyn.radius is None else dyn.radius,
                 ]
             ),
-            "ctx_backend": np.array([core.backend], dtype=np.str_),
+            "ctx_backend": np.array([dyn.backend], dtype=np.str_),
         }
-        if self.config.shards:
-            payload["ctx_owner"] = self.target._owner.copy()
-        return payload
 
     def checkpoint(self, path: str | pathlib.Path) -> None:
         """Write the full scheduler state to a :mod:`repro.io` archive.
@@ -614,7 +607,7 @@ class SchedulerDaemon:
         state.update(self.repairer.export_state())
         save_scheduler_state(path, state, kind=self.config.state_kind)
         if self.config.shards:
-            save_shard_layout(self.layout_path(path), self.target.layout)
+            save_shard_layout(self.layout_path(path), self.repairer.layout)
 
     @classmethod
     def restore(
@@ -666,19 +659,20 @@ class SchedulerDaemon:
         holes = state["ctx_holes"]
         if holes.size:
             dyn.remove_links([int(s) for s in holes])
-        if config.shards:
-            layout = load_shard_layout(
+        # Older sharded archives also carry a per-slot ``ctx_owner``
+        # table; it is ignored, since arrivals are routed through the
+        # layout's partition.
+        layout = (
+            load_shard_layout(
                 cls.layout_path(path),
                 expect_version=archive_format_version(path),
             )
-            target = ShardedDynamicContext.from_layout(
-                layout, dyn, owner=state["ctx_owner"]
-            )
-        else:
-            target = dyn
-        driver = ChurnDriver(target, events, power=power)
+            if config.shards
+            else None
+        )
+        driver = ChurnDriver(dyn, events, power=power)
         driver.restore_state(state)
-        repairer = _make_repairer(target, config, anchor=False)
+        repairer = _make_repairer(dyn, layout, config, anchor=False)
         repairer.restore_state(state)
         return cls(
             driver, repairer, config, latency_window=latency_window

@@ -256,14 +256,14 @@ class TestShardedDynamic:
             if kind == "capacity"
             else OnlineRepairScheduler
         )
-        sdyn = ShardedContext(
-            SchedulingContext(
-                scn.initial_links(), backend="sparse", eps=1e-3
-            ),
-            shards=1,
-        ).dynamic()
-        driver = ChurnDriver(sdyn, scn)
-        rep = ShardedRepairScheduler(sdyn, kind=kind)
+        ctx = SchedulingContext(
+            scn.initial_links(), backend="sparse", eps=1e-3
+        )
+        dyn = ctx.dynamic()
+        driver = ChurnDriver(dyn, scn)
+        rep = ShardedRepairScheduler(
+            dyn, build_shard_layout(ctx, shards=1), kind=kind
+        )
         dyn2 = SchedulingContext(
             scn.initial_links(), backend="sparse", eps=1e-3
         ).dynamic()
@@ -293,12 +293,12 @@ class TestShardedDynamic:
         )
         sharded = ShardedContext(ctx, shards=k)
         assume(sharded.n_shards >= 2)  # vacuous as a merge test otherwise
-        sdyn = sharded.dynamic()
-        driver = ChurnDriver(sdyn, scn)
-        rep = ShardedRepairScheduler(sdyn, kind="first_fit")
+        dyn = ctx.dynamic()
+        driver = ChurnDriver(dyn, scn)
+        rep = ShardedRepairScheduler(dyn, sharded.layout, kind="first_fit")
         for ev in scn.events:
             rep.apply(*driver.step(ev.slot))
-            fresh, remap = fresh_context(sdyn.dyn)
+            fresh, remap = fresh_context(dyn)
             fsp = SchedulingContext(
                 fresh.links,
                 fresh.powers,
@@ -306,7 +306,7 @@ class TestShardedDynamic:
                 beta=fresh.beta,
                 backend="sparse",
                 eps=0.5,
-                radius=sdyn.radius,
+                radius=dyn.radius,
             ).sparse_affectance
             a = fresh.raw_affectance
             for slot in rep.active_schedule:
@@ -319,17 +319,16 @@ class TestShardedDynamic:
             covered = {
                 int(v) for s in rep.active_schedule for v in s
             } | set(rep.deferred)
-            assert covered == set(map(int, sdyn.active_slots))
+            assert covered == set(map(int, dyn.active_slots))
 
     def test_slot_reuse_migrates_universe_across_shards(self):
         """A context slot freed by one shard and reused by an arrival
         owned by another must move between the repairers' universes."""
         ctx = _sparse_ctx(n_links=32, eps=0.3)
-        sharded = ShardedContext(ctx, shards=2)
-        assert sharded.n_shards == 2
-        sdyn = sharded.dynamic()
-        rep = ShardedRepairScheduler(sdyn, kind="first_fit")
-        layout = sdyn.layout
+        layout = build_shard_layout(ctx, shards=2)
+        assert layout.n_shards == 2
+        dyn = ctx.dynamic()
+        rep = ShardedRepairScheduler(dyn, layout, kind="first_fit")
         # Depart a shard-0 interior link, then arrive a link whose
         # receiver cell is owned by shard 1: the context reuses the
         # freed slot (lowest free slot first is not guaranteed here, so
@@ -340,24 +339,70 @@ class TestShardedDynamic:
             int(ctx.links.senders[other]),
             int(ctx.links.receivers[other]),
         )
-        sdyn.remove_links([victim])
+        dyn.remove_links([victim])
         rep.apply([], [victim])
-        [slot] = sdyn.add_links([pair])
+        [slot] = dyn.add_links([pair])
         rep.apply([slot], [])
-        assert int(sdyn.owner_of([slot])[0]) == 1
+        # Routed by the receiver cell, read off the layout's partition.
+        point = ctx.links.space.geometry.points[[pair[1]]]
+        assert int(layout.partition.shard_of_points(point)[0]) == 1
+        assert int(rep._home[slot]) == 1
         assert slot in (rep.repairers[1].universe or ())
         if slot == victim:
             assert slot not in (rep.repairers[0].universe or ())
         assert rep.check()
+
+    @pytest.mark.parametrize("k", (2, 4))
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=CHURN_EXAMPLES, deadline=None)
+    def test_home_is_receiver_cell_shard_after_every_event(self, k, seed):
+        """The coordinator's routing table needs no second copy: after
+        every event each active slot's home is the layout partition's
+        shard of its receiver point, and that shard's repairer holds the
+        slot in its universe."""
+        scn = self._trace(seed, n_links=48)
+        ctx = SchedulingContext(
+            scn.initial_links(), backend="sparse", eps=0.5
+        )
+        layout = build_shard_layout(ctx, shards=k)
+        assume(layout.n_shards >= 2)
+        dyn = ctx.dynamic()
+        driver = ChurnDriver(dyn, scn)
+        rep = ShardedRepairScheduler(dyn, layout, kind="first_fit")
+        points = dyn.space.geometry.points
+
+        def check_routing():
+            act = dyn.active_slots
+            want = layout.partition.shard_of_points(
+                points[dyn.receivers[act]]
+            )
+            assert np.array_equal(rep._home[act], want)
+            for s, home in zip(act.tolist(), want.tolist()):
+                assert s in rep.repairers[home].universe
+
+        check_routing()
+        for ev in scn.events:
+            departed, arrived = driver.feed(ev)
+            rep.apply(arrived, departed)
+            check_routing()
+
+    def test_rejects_layout_larger_than_context(self):
+        big = _sparse_ctx(n_links=32, eps=0.3)
+        small = _sparse_ctx(n_links=8, eps=0.3)
+        layout = build_shard_layout(big, shards=2)
+        with pytest.raises(LinkError, match="layout covers 32 links"):
+            ShardedRepairScheduler(small.dynamic(), layout)
 
     def test_stats_aggregate_and_trajectory(self):
         scn = self._trace(9)
         ctx = SchedulingContext(
             scn.initial_links(), backend="sparse", eps=1e-3
         )
-        sdyn = ShardedContext(ctx, shards=2).dynamic()
-        driver = ChurnDriver(sdyn, scn)
-        rep = ShardedRepairScheduler(sdyn, kind="first_fit")
+        dyn = ctx.dynamic()
+        driver = ChurnDriver(dyn, scn)
+        rep = ShardedRepairScheduler(
+            dyn, build_shard_layout(ctx, shards=2), kind="first_fit"
+        )
         events = 0
         for ev in scn.events:
             rep.apply(*driver.step(ev.slot))

@@ -277,6 +277,23 @@ class TestBackendValidation:
                 links, noise=0.0, beta=1.0, backend="sparse", radius=-1.0
             )
 
+    @pytest.mark.parametrize("radius", (-1.0, 0.0, float("nan")))
+    def test_bad_radius_rejected_at_construction(self, radius):
+        """A non-positive or NaN radius fails when the context is built,
+        never later inside ``add_links`` after a free slot was taken."""
+        links = make_planar_links(6, alpha=3.0, seed=0)
+        pair = (int(links.senders[0]), int(links.receivers[0]))
+        with pytest.raises(LinkError, match="radius must be positive"):
+            SchedulingContext(
+                links, noise=0.0, beta=1.0, backend="sparse", radius=radius
+            )
+        with pytest.raises(LinkError, match="radius must be positive"):
+            DynamicContext(links.space, backend="sparse", radius=radius)
+        with pytest.raises(LinkError, match="radius must be positive"):
+            DynamicContext(
+                links.space, [pair], backend="sparse", radius=radius
+            )
+
     def test_pinned_radius_over_full_pattern_limit_names_the_radius(self):
         links = build_scenario("planar_uniform", n_links=5000, seed=0)
         with pytest.raises(LinkError) as err:

@@ -372,16 +372,16 @@ def test_sharded_scale_m10k_under_budget():
     )
     sharded = ShardedContext(ctx, target_links_per_shard=10_000 // 8)
     assert sharded.n_shards >= 2
-    sdyn = sharded.dynamic()
-    driver = ChurnDriver(sdyn, scn)
-    rep = ShardedRepairScheduler(sdyn, kind="first_fit")
+    dyn = ctx.dynamic()
+    driver = ChurnDriver(dyn, scn)
+    rep = ShardedRepairScheduler(dyn, sharded.layout, kind="first_fit")
     for ev in scn.events:
         rep.apply(*driver.step(ev.slot))
     schedule = rep.active_schedule
     elapsed = time.perf_counter() - start
     assert rep.check()
     placed = sum(len(s) for s in schedule)
-    assert placed + len(rep.deferred) == sdyn.m
+    assert placed + len(rep.deferred) == dyn.m
     assert elapsed < SHARDED_M10K_BUDGET, (
         f"m=10^4 sharded churn repair took {elapsed:.2f}s"
     )

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.dynamics import ChurnEvent
 from repro.errors import SimulationError
+from repro.io import load_scheduler_state, save_scheduler_state
 from repro.scenarios import build_dynamic_scenario
 from repro.service.daemon import DaemonConfig, SchedulerDaemon, build_daemon
 from tests.conftest import CHURN_EXAMPLES
@@ -380,6 +381,58 @@ class TestShardedDaemon:
             res = await resumed.admit(0, 1)
             assert res["slot"] is not None
             await resumed.stop()
+
+        _drive(run())
+
+    def test_restore_ignores_legacy_owner_table(self):
+        """Archives written while sharded daemons persisted a per-slot
+        owner table carry a ``ctx_owner`` array.  Restore ignores it,
+        lands on the live daemon's state bit for bit, and routes the
+        next admission to its receiver cell's shard."""
+        scn = _scn(seed=8, n_links=48, horizon=20)
+
+        async def run():
+            daemon = build_daemon(
+                scn, config=DaemonConfig(shards=2), backend="sparse"
+            )
+            await daemon.start()
+            await _replay(daemon, scn.events)
+            await daemon.drain()
+            want = _state_bytes(daemon)
+            layout = daemon.repairer.layout
+            assert layout.n_shards == 2
+            dyn = daemon.target
+            points = dyn.space.geometry.points
+            with tempfile.TemporaryDirectory() as tmp:
+                path = f"{tmp}/ckpt"
+                daemon.checkpoint(path)
+                await daemon.stop()
+                kind, state = load_scheduler_state(path)
+                assert "ctx_owner" not in state
+                owner = np.full(dyn.capacity, -1, dtype=np.int64)
+                act = dyn.active_slots
+                owner[act] = layout.partition.shard_of_points(
+                    points[dyn.receivers[act]]
+                )
+                state["ctx_owner"] = owner
+                save_scheduler_state(path, state, kind=kind)
+                resumed = SchedulerDaemon.restore(path, scn.space)
+            assert _state_bytes(resumed) == want
+            # Admit a copy of a shard-1 link: the arrival must be routed
+            # to shard 1, the shard of its receiver's cell.
+            v = int(layout.interior[1][0])
+            links = scn.initial_links()
+            sender, receiver = int(links.senders[v]), int(links.receivers[v])
+            await resumed.start()
+            res = await resumed.admit(sender, receiver)
+            await resumed.stop()
+            home = int(
+                layout.partition.shard_of_points(points[[receiver]])[0]
+            )
+            assert home == 1
+            assert int(resumed.repairer._home[res["slot"]]) == home
+            assert res["slot"] in resumed.repairer.repairers[1].universe
+            assert resumed.repairer.check()
 
         _drive(run())
 
