@@ -26,7 +26,10 @@ import pytest
 from benchmarks.conftest import once
 from repro.algorithms.context import SchedulingContext
 from repro.algorithms.repair import OnlineRepairScheduler
-from repro.algorithms.sharding import ShardedContext, ShardedRepairScheduler
+from repro.algorithms.sharding import (
+    ShardedRepairScheduler,
+    build_shard_layout,
+)
 from repro.dynamics import ChurnDriver
 from repro.scenarios import build_dynamic_scenario, build_scenario
 
@@ -205,10 +208,11 @@ SHARDED_SPEEDUP_FLOOR = 5.0
 def _churn_repair(links, scn, *, shards=None):
     """Adopt + replay one churn trace; return (repairer, seconds).
 
-    The certified CSR pattern is built *before* the clock starts: the
-    sharded path slices the same pattern the serial path uses, so the
-    comparison isolates the scheduler stack (placement loop, per-event
-    repair, merge) the sharding refactor actually changes.
+    The certified CSR pattern is built *before* the clock starts and
+    both sides adopt it; inside the window the sharded side builds only
+    the shard layout its repairer routes by, so the comparison isolates
+    the scheduler stack (placement loop, per-event repair, merge) the
+    sharding refactor actually changes.
     """
     ctx = SchedulingContext(
         links, noise=0.0, beta=1.0, backend="sparse", eps=SCALE_EPS
@@ -220,12 +224,12 @@ def _churn_repair(links, scn, *, shards=None):
         driver = ChurnDriver(dyn, scn)
         rep = OnlineRepairScheduler(dyn)
     else:
-        sharded = ShardedContext(
+        layout = build_shard_layout(
             ctx, target_links_per_shard=max(1, links.m // shards)
         )
         dyn = ctx.dynamic()
         driver = ChurnDriver(dyn, scn)
-        rep = ShardedRepairScheduler(dyn, sharded.layout, kind="first_fit")
+        rep = ShardedRepairScheduler(dyn, layout, kind="first_fit")
     for ev in scn.events:
         rep.apply(*driver.step(ev.slot))
     rep.active_schedule

@@ -43,10 +43,10 @@ from repro.core.affectance import (
     noise_constants,
 )
 from repro.core.affectance_sparse import (
-    _DENSE_BLOCK_LIMIT,
+    AffectanceView,
     SparseAffectance,
     SparseLinkDistances,
-    _SparseView,
+    affectance_view,
     build_sparse_affectance,
     build_sparse_link_distances,
 )
@@ -89,16 +89,15 @@ class _AffectanceLedger:
     never touched.
     """
 
-    __slots__ = ("a", "dense", "mask", "in_sum", "out_sum", "count")
+    __slots__ = ("a", "mask", "in_sum", "out_sum", "count")
 
     def __init__(self, a, *, full: bool) -> None:
-        m = a.shape[0]
-        self.a = a
-        self.dense = isinstance(a, np.ndarray)
+        self.a = a = affectance_view(a)
+        m = a.n
         if full:
             self.mask = np.ones(m, dtype=bool)
-            self.in_sum = a.sum(axis=0) if self.dense else a.sum_axis0()
-            self.out_sum = a.sum(axis=1) if self.dense else a.sum_axis1()
+            self.in_sum = a.sum_axis0()
+            self.out_sum = a.sum_axis1()
             self.count = m
         else:
             self.mask = np.zeros(m, dtype=bool)
@@ -109,64 +108,50 @@ class _AffectanceLedger:
     def add(self, v: int) -> None:
         """Admit link ``v`` (identical accumulation order to the PR-1 loops)."""
         self.mask[v] = True
-        if self.dense:
-            self.in_sum += self.a[v]
-            self.out_sum += self.a[:, v]
-        else:
-            # Scatter over the stored pattern: unstored entries add an
-            # exact 0.0, so the sums match the dense accumulation float
-            # for float whenever the pattern holds the pairs.
-            self.a.add_row_to(self.in_sum, v)
-            self.a.add_col_to(self.out_sum, v)
+        self.a.add_row_to(self.in_sum, v)
+        self.a.add_col_to(self.out_sum, v)
         self.count += 1
 
     def remove_slot(self, members: Sequence[int]) -> None:
         """Peel a whole slot from the member set by subtraction."""
         idx = np.asarray(members, dtype=int)
         self.mask[idx] = False
-        if self.dense:
-            self.in_sum -= self.a[idx].sum(axis=0)
-            self.out_sum -= self.a[:, idx].sum(axis=1)
-        else:
-            self.in_sum -= self.a.rows_sum(idx)
-            self.out_sum -= self.a.cols_sum(idx)
+        self.in_sum -= self.a.rows_sum(idx)
+        self.out_sum -= self.a.cols_sum(idx)
         self.count -= idx.size
 
 
 def combined_affectance_within(
-    a: np.ndarray, members: Sequence[int] | np.ndarray, v: int
+    a: np.ndarray | AffectanceView,
+    members: Sequence[int] | np.ndarray,
+    v: int,
 ) -> float:
     """``a_M(v) + a_v(M)`` over ``members`` — the admission quantity.
 
     The scalar Algorithm 1's greedy admission scan checks against its
     threshold for each candidate (with ``a`` the *clipped* affectance,
-    the paper's accounting).  Shared by the capacity-repair probes so
-    the online admission rule is evaluated by the same gathers the
-    ledger maintains in bulk.
+    the paper's accounting, as a dense matrix or any view).  Shared by
+    the capacity-repair probes so the online admission rule is
+    evaluated by the same gathers the ledger maintains in bulk.
     """
+    a = affectance_view(a)
     idx = np.asarray(members, dtype=int)
-    if not isinstance(a, np.ndarray):
-        return float(a.gather_col(idx, v).sum() + a.gather_row(v, idx).sum())
-    return float(a[idx, v].sum() + a[v, idx].sum())
+    return float(a.gather_col(idx, v).sum() + a.gather_row(v, idx).sum())
 
 
 def slot_admission_sums(
-    a: np.ndarray, members: Sequence[int] | np.ndarray
+    a: np.ndarray | AffectanceView, members: Sequence[int] | np.ndarray
 ) -> np.ndarray:
     """Per-member ``a_M(v) + a_v(M)`` within the member set ``M``.
 
     The ledger sums a freshly built round would carry: column sums plus
     row sums of the member block (diagonal zero), aligned with
-    ``members``.  A set whose every entry clears the Algorithm-1
-    admission threshold of 1/2 is in particular feasible — each member's
-    in-affectance is at most 1/2 — which is what makes threshold-guarded
-    slot merges safe.
+    ``members``, for ``a`` a dense matrix or any view.  A set whose
+    every entry clears the Algorithm-1 admission threshold of 1/2 is in
+    particular feasible — each member's in-affectance is at most 1/2 —
+    which is what makes threshold-guarded slot merges safe.
     """
-    idx = np.asarray(members, dtype=int)
-    if isinstance(a, np.ndarray):
-        block = a[np.ix_(idx, idx)]
-    else:
-        block = a.block(idx, idx)
+    block = affectance_view(a).block(members, members)
     return block.sum(axis=0) + block.sum(axis=1)
 
 
@@ -248,13 +233,7 @@ def first_fit_slots(a, order: Iterable[int], n: int) -> list[list[int]]:
     by the same additions, so the slots match that scan exactly.  The
     cost per link is linear in its row support plus the slot count.
     """
-    if isinstance(a, np.ndarray):
-        everyone = np.arange(n)
-
-        def row(v: int) -> tuple[np.ndarray, np.ndarray]:
-            return everyone, a[v]
-    else:
-        row = a.row
+    row = affectance_view(a).row
     owner = np.zeros(n, dtype=np.int64)
     # ledger[t + 1] holds a_slot(u) for slot t and every link u; row 0 is
     # the all-zero ledger the unplaced links' owner entries point at.
@@ -587,7 +566,7 @@ class SchedulingContext:
         no separation requirement the scan degenerates to the order itself.
         """
         sparse = self._backend == "sparse"
-        a = self.affectance
+        a = affectance_view(self.affectance)
         if separation:
             if sparse:
                 # Every pair below the stored radius is kept exactly and
@@ -619,12 +598,10 @@ class SchedulingContext:
                     continue
             x.append(v)
             if not all_auto:
-                if sparse:
-                    a.add_row_to(in_aff, v)
-                    a.add_col_to(out_aff, v)
-                else:
-                    in_aff += a[v]  # l_v now affects every other link
-                    out_aff += a[:, v]  # each link's out-affectance onto X grows
+                # l_v now affects every other link, and each link's
+                # out-affectance onto X grows.
+                a.add_row_to(in_aff, v)
+                a.add_col_to(out_aff, v)
             if separation:
                 if sparse:
                     nbr, nd = sdist.col(v)
@@ -847,7 +824,7 @@ _EMPTY_ADJ[0].setflags(write=False)
 _EMPTY_ADJ[1].setflags(write=False)
 
 
-class _DynSparseView(_SparseView):
+class _DynSparseView(AffectanceView):
     """One value layer over a sparse :class:`DynamicContext`'s adjacency.
 
     A *live* padded view (size = slot capacity, free slots empty): every
@@ -887,40 +864,11 @@ class _DynSparseView(_SparseView):
         return self._layer(self._dyn._col[int(v)])
 
     def rows_sum(self, members) -> np.ndarray:
-        """Member-row sum, reading the maintained adjacency directly.
-
-        Same two regimes as the mixin (dense-block twin within the
-        budget, bincount scatter beyond it), but the scatter path skips
-        the per-row ``row()``/clip round trip: raw layers are gathered
-        straight from the adjacency lists and clipped once on the
-        concatenation — elementwise ``min`` commutes with concatenation,
-        so the floats match the per-row reads bit for bit.
-        """
-        members = np.asarray(members, dtype=int)
-        n = self.n
-        if members.size == 0:
-            return np.zeros(n)
-        if members.size * n <= _DENSE_BLOCK_LIMIT:
-            return super().rows_sum(members)
-        row = self._dyn._row
-        parts_i: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        keep_i = parts_i.append
-        keep_v = parts_v.append
-        # tolist(): plain-int indices — numpy scalars pay ~10x per list
-        # subscript in this, the hottest loop of the repair path.
-        for r in members.tolist():
-            idx, val = row[r]
-            if idx.size:
-                keep_i(idx)
-                keep_v(val)
-        if not parts_i:
-            return np.zeros(n)
-        cat_i = np.concatenate(parts_i)
-        cat_v = np.concatenate(parts_v)
-        if self._clipped:
-            cat_v = np.minimum(cat_v, 1.0)
-        return np.bincount(cat_i, weights=cat_v, minlength=n)
+        """Member-row sum, scattering the maintained adjacency directly
+        (no per-row ``row()`` round trip) and clipping once."""
+        return self._scatter_sum(
+            members, self._dyn._row.__getitem__, clip=self._clipped
+        )
 
 
 class DynamicContext:

@@ -77,15 +77,7 @@ from repro.algorithms.context import (
     slot_admission_sums,
 )
 from repro.core.affectance import in_affectances_within
-from repro.core.affectance_sparse import (
-    _DENSE_BLOCK_LIMIT,
-    add_row_to,
-    dense_row,
-    gather_col,
-    gather_row,
-    member_block,
-    rows_sum,
-)
+from repro.core.affectance_sparse import AffectanceView, affectance_view
 from repro.errors import LinkError
 
 __all__ = [
@@ -654,6 +646,11 @@ class OnlineRepairScheduler:
         """Per-event epilogue hook (subclasses add compaction here)."""
         self.slot_trajectory.append(self.slot_count)
 
+    @property
+    def _raw(self) -> AffectanceView:
+        """The context's raw affectance behind the view protocol."""
+        return affectance_view(self.dyn.raw_affectance)
+
     def _ledger(self, t: int) -> np.ndarray:
         """Slot ``t``'s in-affectance sums, recomputed when stale.
 
@@ -664,11 +661,8 @@ class OnlineRepairScheduler:
         own in-affectance is always gathered fresh from the matrix.
         """
         v = self._in_sum[t]
-        cap = self.dyn.capacity
-        if v is None or v.shape[0] != cap:
-            members = self._member_array(t)
-            a = self.dyn.raw_affectance
-            v = rows_sum(a, members) if members.size else np.zeros(cap)
+        if v is None or v.shape[0] != self.dyn.capacity:
+            v = self._raw.rows_sum(self._member_array(t))
             self._in_sum[t] = v
         return v
 
@@ -701,19 +695,16 @@ class OnlineRepairScheduler:
     def _eager_repair_ok(self, t: int) -> bool:
         """May slot ``t``'s ledger be repaired in place (vs marked stale)?
 
-        In-place repair reproduces the *scatter* accumulation order, so
-        it is only taken in the beyond-dense-block regime where that is
-        the recompute's own order; within the block budget the recompute
-        uses the dense-twin pairwise reduction and staleness keeps the
-        historical floats bit for bit.  A ledger already stale (or held
-        at an outgrown capacity) stays on the recompute path.
+        In-place repair reads the context's column adjacency, so it needs
+        a sparse context; it reproduces the recompute's scatter order, so
+        the floats are the same either way.  A ledger already stale (or
+        held at an outgrown capacity) stays on the recompute path.
         """
         led = self._in_sum[t]
-        cap = self.dyn.capacity
         return (
             led is not None
-            and led.shape[0] == cap
-            and len(self._members[t]) * cap > _DENSE_BLOCK_LIMIT
+            and led.shape[0] == self.dyn.capacity
+            and self.dyn.is_sparse
         )
 
     def _repair_ledger(self, t: int, positions: np.ndarray) -> None:
@@ -734,7 +725,7 @@ class OnlineRepairScheduler:
         if members.size == 0:
             led[positions] = 0.0
             return
-        a = self.dyn.raw_affectance
+        a = self._raw
         parts_i: list[np.ndarray] = []
         parts_v: list[np.ndarray] = []
         lens = []
@@ -783,20 +774,20 @@ class OnlineRepairScheduler:
         with ``v``'s row added stays at most 1 — plus the subclass
         admission hook.
         """
-        a = self.dyn.raw_affectance
+        a = self._raw
         members = self._member_array(t)
-        iv = float(gather_col(a, members, v).sum())
+        iv = float(a.gather_col(members, v).sum())
         if iv > 1.0:
             return False
         ledger = self._ledger(t)
         if members.size and np.any(
-            ledger[members] + gather_row(a, v, members) > 1.0
+            ledger[members] + a.gather_row(v, members) > 1.0
         ):
             return False
         if not self._admits(v, members):
             return False
         ledger[v] = iv  # fresh value; the row add below leaves it intact
-        add_row_to(ledger, a, v)
+        a.add_row_to(ledger, v)
         self._members[t].add(v)
         self._member_add(t, v)
         self._slot_of[v] = t
@@ -844,7 +835,7 @@ class OnlineRepairScheduler:
                 self.stats.deferred += 1
             return False
         self._members.append({v})
-        self._in_sum.append(dense_row(self.dyn.raw_affectance, v))
+        self._in_sum.append(self._raw.dense_row(v))
         self._member_cache.append(None)
         self._slot_of[v] = len(self._members) - 1
         self.stats.opened += 1
@@ -894,20 +885,20 @@ class OnlineRepairScheduler:
         slot; the booleans match the full (members x members) sweep
         exactly.  Cheapest: smallest :meth:`_eviction_key`.
         """
-        a = self.dyn.raw_affectance
+        a = self._raw
         best: tuple | None = None  # (key, t, u)
         for t, member_set in enumerate(self._members):
             if not member_set:
                 continue
             members = self._member_array(t)
-            col = gather_col(a, members, v)
+            col = a.gather_col(members, v)
             iv = col.sum()
             ledger = self._ledger(t)
-            base = ledger[members] + gather_row(a, v, members)
+            base = ledger[members] + a.gather_row(v, members)
             hot = np.flatnonzero(base > 1.0)
             feasible = self._eviction_mask(v, members, col, float(iv))
             if hot.size:
-                block = member_block(a, members, members[hot])
+                block = a.block(members, members[hot])
                 with np.errstate(invalid="ignore"):
                     # inf - inf -> NaN -> False: conservative refusal,
                     # same contract as the base _eviction_mask.
@@ -930,11 +921,10 @@ class OnlineRepairScheduler:
         self._members[t].discard(u)
         del self._slot_of[u]
         self._member_drop(t, u)
-        a = self.dyn.raw_affectance
-        if isinstance(a, np.ndarray) or not self._eager_repair_ok(t):
-            self._in_sum[t] = None  # dense/stale: full recompute on probe
+        if self._eager_repair_ok(t):
+            self._repair_ledger(t, self._raw.row(u)[0])
         else:
-            self._repair_ledger(t, a.row(u)[0])
+            self._in_sum[t] = None  # dense/stale: full recompute on probe
 
     def _from_scratch(self) -> list[list[int]]:
         """The anchor schedule over the current active set.
@@ -1118,9 +1108,9 @@ class CapacityRepairScheduler(OnlineRepairScheduler):
         mask = super()._eviction_mask(v, members, col, iv)
         if not members.size:
             return mask
-        ac = self.dyn.affectance
-        col_c = gather_col(ac, members, v)
-        row_c = gather_row(ac, v, members)
+        ac = affectance_view(self.dyn.affectance)
+        col_c = ac.gather_col(members, v)
+        row_c = ac.gather_row(v, members)
         combined_without = (
             (col_c.sum() - col_c) + (row_c.sum() - row_c)
         )

@@ -82,9 +82,7 @@ from repro.core.affectance import in_affectances_within
 from repro.core.affectance_sparse import (
     SparseAffectance,
     SparseLinkDistances,
-    add_row_to,
-    gather_col,
-    gather_row,
+    affectance_view,
 )
 from repro.errors import LinkError
 
@@ -305,6 +303,9 @@ def _certify_merge(
     Returns the certified slots (members sorted) and how many links the
     certification displaced from their shard-assigned slot.
     """
+    a = affectance_view(a)
+    if clip is not None:
+        clip = affectance_view(clip)
     bufs: list[np.ndarray] = []
     sizes: list[int] = []
     # Per-slot running in-affectance over the full universe; built
@@ -316,7 +317,7 @@ def _certify_merge(
         if sums[t] is None:
             fresh = np.zeros(size)
             for u in bufs[t][: sizes[t]]:
-                add_row_to(fresh, a, int(u))
+                a.add_row_to(fresh, int(u))
             sums[t] = fresh
         return sums[t]
 
@@ -325,7 +326,7 @@ def _certify_merge(
         if in_aff[v] > 1.0:
             return False
         mem = bufs[t][: sizes[t]]
-        if np.any(in_aff[mem] + gather_row(a, v, mem) > 1.0):
+        if np.any(in_aff[mem] + a.gather_row(v, mem) > 1.0):
             return False
         if threshold is not None:
             if combined_affectance_within(clip, mem, v) > threshold:
@@ -339,7 +340,7 @@ def _certify_merge(
             bufs[t] = grown
         bufs[t][sizes[t]] = v
         sizes[t] += 1
-        add_row_to(sums[t], a, v)
+        a.add_row_to(sums[t], v)
 
     def _open(v: int) -> None:
         buf = np.empty(4, dtype=np.int64)
@@ -347,7 +348,7 @@ def _certify_merge(
         bufs.append(buf)
         sizes.append(1)
         fresh = np.zeros(size)
-        add_row_to(fresh, a, v)
+        a.add_row_to(fresh, v)
         sums.append(fresh)
 
     def _precedence(members: Sequence[int]) -> np.ndarray:
@@ -382,12 +383,12 @@ def _certify_merge(
                 leftovers.append(u)
                 kept = np.delete(kept, drop)
                 in_aff = np.delete(in_aff, drop)
-                in_aff -= gather_row(a, u, kept)
+                in_aff -= a.gather_row(u, kept)
                 bad = in_aff > 1.0
                 if threshold is not None:
                     adm = np.delete(adm, drop)
-                    adm -= gather_row(clip, u, kept)
-                    adm -= gather_col(clip, kept, u)
+                    adm -= clip.gather_row(u, kept)
+                    adm -= clip.gather_col(kept, u)
                     bad |= adm > threshold
         if kept.size:
             bufs.append(kept.astype(np.int64))

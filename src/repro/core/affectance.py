@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.affectance_sparse import AffectanceView, affectance_view
 from repro.core.links import LinkSet
 from repro.errors import InfeasibleLinkError, PowerError
 
@@ -133,20 +134,16 @@ def out_affectance(
 
 
 def in_affectances_within(
-    a: np.ndarray, subset: np.ndarray | list[int]
+    a: np.ndarray | AffectanceView, subset: np.ndarray | list[int]
 ) -> np.ndarray:
     """Vector of ``a_S(v)`` for every ``v`` in ``subset`` (aligned to it).
 
-    ``a`` is either a dense affectance matrix or a sparse view from
-    :mod:`repro.core.affectance_sparse` (which computes the same member
-    block — identical float-for-float whenever the sparse pattern holds
-    every pair of the subset).
+    ``a`` is a dense affectance matrix or any
+    :class:`~repro.core.affectance_sparse.AffectanceView`; a sparse view
+    adds in the dense block's order, so the floats are identical
+    whenever its pattern holds every pair of the subset.
     """
-    idx = np.asarray(subset, dtype=int)
-    if not isinstance(a, np.ndarray):
-        return a.in_affectances_within(idx)
-    sub = a[np.ix_(idx, idx)]
-    return sub.sum(axis=0)
+    return affectance_view(a).in_affectances_within(subset)
 
 
 def feasible_within(

@@ -19,12 +19,21 @@ are exactly zero — the regime the dense-identity test suites run in.
 
 Storage is CSR + CSC over link indices (row = acting link ``w``, column =
 affected link ``v`` — the dense convention), with raw and clipped value
-arrays sharing one pattern.  :class:`_SparseView` exposes one value layer
-through the access idioms the scheduling kernels use on dense matrices
-(row/column gathers, member blocks, row-set sums); wherever the kernels
-compare decisions against the dense path, the view materializes the dense
-sub-block and reduces it with the same numpy summation, so a complete
-pattern reproduces the dense floats bit for bit.
+arrays sharing one pattern.
+
+Every scheduling kernel reads affectance through one access protocol,
+:class:`AffectanceView`: row/column gathers, member blocks, row- and
+column-set sums and the in-affectance within a set.  The kernels call
+:func:`affectance_view` on entry, which puts a dense ndarray behind
+:class:`_DenseView` (each method is the plain numpy expression on the
+matrix) and passes a sparse view through, so no kernel branches on the
+storage.  The sparse views realise every sum as a sequential scatter in
+member order — one ``np.bincount`` over the concatenated member rows or
+columns — which is the order numpy adds in when it reduces a C-ordered
+block over axis 0 or an F-ordered one over axis 1; a complete pattern
+therefore reproduces the dense floats bit for bit.  The one dense
+reduction numpy performs pairwise, a full-matrix row sum, has its own
+twin in :meth:`AffectanceView.sum_axis1`.
 
 Link quasi-distances get the same treatment in
 :class:`SparseLinkDistances`, with a stronger guarantee: the admission
@@ -39,28 +48,24 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.affectance import noise_constants_from_lengths
 from repro.core.links import LinkSet
 from repro.errors import LinkError
 
 __all__ = [
+    "AffectanceView",
     "SparseAffectance",
     "SparseLinkDistances",
+    "affectance_view",
     "build_sparse_affectance",
     "build_sparse_link_distances",
-    "gather_row",
-    "gather_col",
-    "dense_row",
-    "rows_sum",
-    "member_block",
-    "add_row_to",
 ]
 
-#: Largest dense scratch block (in float64 entries) the sparse kernels
-#: will materialize to reproduce dense numpy reductions bit-for-bit.
-#: Beyond it they fall back to sequential scatter accumulation (same
-#: values, possibly different rounding order) — only reachable far outside
-#: the dense cross-check regime.
+#: Largest dense scratch matrix (in float64 entries) that
+#: :meth:`AffectanceView.sum_axis1` materializes to reproduce numpy's
+#: pairwise row reduction of a C-ordered matrix bit for bit.  Beyond it
+#: the row sums come from the stored values alone (same values, possibly
+#: different rounding order) — only reachable far outside the dense
+#: cross-check regime.
 _DENSE_BLOCK_LIMIT = 1 << 22
 
 #: Hard cap on the link count for which a complete (all-pairs) pattern may
@@ -68,13 +73,15 @@ _DENSE_BLOCK_LIMIT = 1 << 22
 _FULL_PATTERN_LIMIT = 4096
 
 
-class _SparseView:
-    """One value layer (raw or clipped) of a sparse pattern.
+class AffectanceView:
+    """One value layer (raw or clipped) of an affectance matrix.
 
-    Subclasses provide ``n`` (padded size), ``row(v)`` and ``col(v)``
-    returning ``(indices, values)`` with indices strictly increasing; the
-    generic kernels below express every dense access idiom the schedulers
-    use in terms of those two.
+    The access protocol every scheduling kernel uses.  Sparse subclasses
+    provide ``n`` (padded size), ``row(v)`` and ``col(v)`` returning
+    ``(indices, values)`` with indices strictly increasing; the generic
+    kernels below express every access idiom in terms of those two.
+    :class:`_DenseView` overrides each kernel with the numpy expression
+    on the matrix.
     """
 
     __slots__ = ()
@@ -91,10 +98,6 @@ class _SparseView:
         raise NotImplementedError
 
     # -- generic kernels --------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
     def gather_row(self, v: int, cols: np.ndarray) -> np.ndarray:
         """``a[v, cols]`` — zeros at unstored positions."""
         cols = np.asarray(cols, dtype=int)
@@ -161,89 +164,53 @@ class _SparseView:
         idx, val = self.col(int(v))
         out[idx] += val
 
-    def rows_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
-        """``a[members].sum(axis=0)`` over the full width.
+    def _scatter_sum(self, members, line, clip: bool = False) -> np.ndarray:
+        """Sequential scatter-add of ``line(r)`` for each member ``r``.
 
-        Within the dense-block budget the member rows are materialized and
-        reduced by the same ``sum(axis=0)`` as the dense path (bit-equal on
-        complete patterns); beyond it, sequential scatter adds — realized
-        as one ``np.bincount`` over the concatenated member rows, whose C
-        loop accumulates entries in input (member) order.  Each output
-        element receives its contributions in exactly the per-member
-        scatter order, so the floats match the historical row-at-a-time
-        loop bit for bit.
+        Realized as one ``np.bincount`` over the concatenated member
+        lines, whose C loop accumulates entries in input (member) order:
+        each output element receives its contributions in exactly the
+        order of a line-at-a-time scatter loop, bit for bit.  ``clip``
+        applies ``min(., 1)`` to the concatenated values, for lines read
+        from raw storage (elementwise ``min`` commutes with
+        concatenation, so the floats equal clipping each line).
         """
-        members = np.asarray(members, dtype=int)
-        n = self.n
-        if members.size == 0:
-            return np.zeros(n)
-        if members.size * n <= _DENSE_BLOCK_LIMIT:
-            dense = np.zeros((members.size, n))
-            for i, r in enumerate(members):
-                idx, val = self.row(int(r))
-                dense[i, idx] = val
-            return dense.sum(axis=0)
         parts_i: list[np.ndarray] = []
         parts_v: list[np.ndarray] = []
-        for r in members.tolist():
-            idx, val = self.row(r)
+        # tolist(): plain-int indices — numpy scalars cost far more per
+        # call in this, the repair ledger's recompute loop.
+        for r in np.asarray(members, dtype=int).tolist():
+            idx, val = line(r)
             if idx.size:
                 parts_i.append(idx)
                 parts_v.append(val)
         if not parts_i:
-            return np.zeros(n)
-        cat_i = np.concatenate(parts_i)
-        cat_v = np.concatenate(parts_v)
-        return np.bincount(cat_i, weights=cat_v, minlength=n)
+            return np.zeros(self.n)
+        vals = np.concatenate(parts_v)
+        if clip:
+            vals = np.minimum(vals, 1.0)
+        return np.bincount(
+            np.concatenate(parts_i), weights=vals, minlength=self.n
+        )
+
+    def rows_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``a[members].sum(axis=0)`` over the full width."""
+        return self._scatter_sum(members, self.row)
 
     def cols_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
-        """``a[:, members].sum(axis=1)`` over the full height.
-
-        Column fancy-indexing yields an F-contiguous copy, whose axis-1
-        reduction numpy performs column-by-column — the scratch mirrors
-        that layout so the floats match the dense expression exactly.
-        """
-        members = np.asarray(members, dtype=int)
-        n = self.n
-        if members.size == 0:
-            return np.zeros(n)
-        if members.size * n <= _DENSE_BLOCK_LIMIT:
-            dense = np.zeros((n, members.size), order="F")
-            for j, c in enumerate(members):
-                idx, val = self.col(int(c))
-                dense[idx, j] = val
-            return dense.sum(axis=1)
-        # Beyond the block budget: same bincount realization of the
-        # sequential scatter as :meth:`rows_sum` (member-order adds per
-        # output element; bit-equal to the column-at-a-time loop).
-        parts_i: list[np.ndarray] = []
-        parts_v: list[np.ndarray] = []
-        for c in members.tolist():
-            idx, val = self.col(c)
-            if idx.size:
-                parts_i.append(idx)
-                parts_v.append(val)
-        if not parts_i:
-            return np.zeros(n)
-        cat_i = np.concatenate(parts_i)
-        cat_v = np.concatenate(parts_v)
-        return np.bincount(cat_i, weights=cat_v, minlength=n)
+        """``a[:, members].sum(axis=1)`` over the full height."""
+        return self._scatter_sum(members, self.col)
 
     def sum_axis0(self) -> np.ndarray:
         """``a.sum(axis=0)`` (every link's in-affectance over all rows)."""
-        n = self.n
-        if n * n <= _DENSE_BLOCK_LIMIT:
-            return self.rows_sum(np.arange(n))
-        out = np.zeros(n)
-        for r in range(n):
-            self.add_row_to(out, r)
-        return out
+        return self.rows_sum(np.arange(self.n))
 
     def sum_axis1(self) -> np.ndarray:
         """``a.sum(axis=1)`` (every link's out-affectance).
 
-        The dense expression reduces the C-contiguous matrix itself, not a
-        column copy — so the scratch here is C-ordered rows.
+        The dense expression reduces each C-contiguous row pairwise, an
+        order no scatter reproduces — so within the block budget the
+        scratch here is C-ordered rows reduced the same way.
         """
         n = self.n
         if n * n <= _DENSE_BLOCK_LIMIT:
@@ -261,40 +228,104 @@ class _SparseView:
     def in_affectances_within(
         self, subset: Sequence[int] | np.ndarray
     ) -> np.ndarray:
-        """``a_S(v)`` for each ``v`` of ``subset`` (dense-identical block)."""
+        """``a_S(v)`` for each ``v`` of ``subset``, aligned with it.
+
+        Every member row is gathered once, in subset order (repeats
+        included), and its entries at the subset's distinct links are
+        scatter-added by one ``np.bincount``: each link accumulates its
+        in-affectance in subset order, as the dense block's axis-0 sum
+        does, and a repeated link reads its total at every position.
+        """
         idx = np.asarray(subset, dtype=int)
-        if idx.size == 0:
-            return np.zeros(0)
-        if idx.size * idx.size <= _DENSE_BLOCK_LIMIT:
-            return self.block(idx, idx).sum(axis=0)
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        out = np.zeros(idx.size)
-        # Gather every member row once, then resolve membership with a
-        # single searchsorted/bincount pass: per-row numpy round-trips
-        # dominate wall time for slot-sized subsets (tens of thousands of
-        # members), the batched pass is a handful of O(nnz_S) kernels.
+        distinct, where = np.unique(idx, return_inverse=True)
         parts_idx: list[np.ndarray] = []
         parts_val: list[np.ndarray] = []
-        for r in idx:
-            ridx, rval = self.row(int(r))
+        for r in idx.tolist():
+            ridx, rval = self.row(r)
             if ridx.size:
                 parts_idx.append(ridx)
                 parts_val.append(rval)
         if not parts_idx:
-            return out
+            return np.zeros(idx.size)
         cols = np.concatenate(parts_idx)
         vals = np.concatenate(parts_val)
-        pos = np.searchsorted(sorted_idx, cols)
-        pos_c = np.minimum(pos, sorted_idx.size - 1)
-        hit = sorted_idx[pos_c] == cols
-        out[order] = np.bincount(
-            pos_c[hit], weights=vals[hit], minlength=sorted_idx.size
+        pos = np.minimum(np.searchsorted(distinct, cols), distinct.size - 1)
+        hit = distinct[pos] == cols
+        sums = np.bincount(
+            pos[hit], weights=vals[hit], minlength=distinct.size
         )
-        return out
+        return sums[where]
 
 
-class _CSRView(_SparseView):
+class _DenseView(AffectanceView):
+    """A dense ``(n, n)`` matrix behind the view protocol.
+
+    Every method is the plain numpy expression on the matrix, so the
+    kernels see exactly the dense floats.
+    """
+
+    __slots__ = ("_a", "_everyone")
+
+    def __init__(self, a: np.ndarray) -> None:
+        self._a = a
+        self._everyone = np.arange(a.shape[0])
+
+    @property
+    def n(self) -> int:
+        return self._a.shape[0]
+
+    def row(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._everyone, self._a[int(v)]
+
+    def col(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._everyone, self._a[:, int(v)]
+
+    def gather_row(self, v: int, cols: np.ndarray) -> np.ndarray:
+        return self._a[int(v), np.asarray(cols, dtype=int)]
+
+    def gather_col(self, rows: np.ndarray, v: int) -> np.ndarray:
+        return self._a[np.asarray(rows, dtype=int), int(v)]
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self._a[
+            np.ix_(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
+        ]
+
+    def dense_row(self, v: int) -> np.ndarray:
+        return self._a[int(v)].copy()
+
+    def add_row_to(self, out: np.ndarray, v: int) -> None:
+        out += self._a[int(v)]
+
+    def add_col_to(self, out: np.ndarray, v: int) -> None:
+        out += self._a[:, int(v)]
+
+    def rows_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
+        return self._a[np.asarray(members, dtype=int)].sum(axis=0)
+
+    def cols_sum(self, members: Sequence[int] | np.ndarray) -> np.ndarray:
+        return self._a[:, np.asarray(members, dtype=int)].sum(axis=1)
+
+    def sum_axis0(self) -> np.ndarray:
+        return self._a.sum(axis=0)
+
+    def sum_axis1(self) -> np.ndarray:
+        return self._a.sum(axis=1)
+
+    def in_affectances_within(
+        self, subset: Sequence[int] | np.ndarray
+    ) -> np.ndarray:
+        idx = np.asarray(subset, dtype=int)
+        return self._a[np.ix_(idx, idx)].sum(axis=0)
+
+
+def affectance_view(a) -> AffectanceView:
+    """``a`` behind the view protocol: a dense ndarray is wrapped in a
+    :class:`_DenseView`; a view (anything else) is returned unchanged."""
+    return _DenseView(a) if isinstance(a, np.ndarray) else a
+
+
+class _CSRView(AffectanceView):
     """A value layer over the static CSR/CSC pattern."""
 
     __slots__ = ("_sp", "_rv", "_cv")
@@ -319,11 +350,9 @@ class _CSRView(_SparseView):
         return sp.col_idx[lo:hi], self._cv[lo:hi]
 
     def sum_axis0(self) -> np.ndarray:
-        n = self.n
-        if n * n <= _DENSE_BLOCK_LIMIT:
-            return super().sum_axis0()
+        # The whole CSR in row order is the all-rows scatter.
         return np.bincount(
-            self._sp.row_idx, weights=self._rv, minlength=n
+            self._sp.row_idx, weights=self._rv, minlength=self.n
         )
 
     def sum_axis1(self) -> np.ndarray:
@@ -563,6 +592,7 @@ def build_sparse_affectance(
     the radius instead; the tails are still certified and returned, but
     ``eps`` is not enforced.
     """
+    from repro.core.affectance import noise_constants_from_lengths
     from repro.geometry.cells import CellIndex
 
     if eps <= 0:
@@ -740,57 +770,3 @@ def build_sparse_link_distances(
     cols = np.concatenate([w, u])
     values = np.concatenate([dist_uw, dist_wu])
     return SparseLinkDistances(m, rows, cols, values, qlen, r_d)
-
-
-# ----------------------------------------------------------------------
-# Backend-agnostic access helpers
-# ----------------------------------------------------------------------
-# The repair and simulation layers read affectance through these instead
-# of raw numpy indexing, so one code path serves both a dense ``(m, m)``
-# matrix and a sparse view.  Each dense branch is the literal indexing
-# expression the caller previously inlined — float-for-float unchanged.
-
-def gather_row(a, v: int, cols) -> np.ndarray:
-    """``a[v, cols]`` on either backend (zeros at unstored positions)."""
-    if isinstance(a, np.ndarray):
-        return a[int(v), np.asarray(cols, dtype=int)]
-    return a.gather_row(int(v), cols)
-
-
-def gather_col(a, rows, v: int) -> np.ndarray:
-    """``a[rows, v]`` on either backend."""
-    if isinstance(a, np.ndarray):
-        return a[np.asarray(rows, dtype=int), int(v)]
-    return a.gather_col(rows, int(v))
-
-
-def dense_row(a, v: int) -> np.ndarray:
-    """``a[v]`` as a fresh writable dense vector of the padded width."""
-    if isinstance(a, np.ndarray):
-        return a[int(v)].copy()
-    return a.dense_row(int(v))
-
-
-def rows_sum(a, members) -> np.ndarray:
-    """``a[members].sum(axis=0)`` over the full padded width."""
-    if isinstance(a, np.ndarray):
-        idx = np.asarray(members, dtype=int)
-        if idx.size == 0:
-            return np.zeros(a.shape[1])
-        return a[idx].sum(axis=0)
-    return a.rows_sum(members)
-
-
-def member_block(a, rows, cols) -> np.ndarray:
-    """The dense sub-matrix ``a[rows x cols]`` on either backend."""
-    if isinstance(a, np.ndarray):
-        return a[np.ix_(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))]
-    return a.block(rows, cols)
-
-
-def add_row_to(out: np.ndarray, a, v: int) -> None:
-    """``out += a[v]`` in place on either backend."""
-    if isinstance(a, np.ndarray):
-        out += a[int(v)]
-    else:
-        a.add_row_to(out, int(v))

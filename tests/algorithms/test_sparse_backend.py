@@ -122,6 +122,19 @@ class TestModerateEps:
             # certified dropped tail, and the sparse sum passed <= 1.
             assert np.all(block.sum(axis=0) <= 1.0 + sa.tail_in[idx])
 
+    def test_repeated_subset_links_read_their_in_affectance(self):
+        """A link listed twice in a large subset reads its in-affectance
+        at both positions (the scatter path once wrote only the first
+        copy and left 0.0 at the repeats, past 2**11 members)."""
+        links = build_scenario("planar_uniform", n_links=2200, seed=0)
+        ctx = SchedulingContext(links, backend="sparse", eps=0.2)
+        idx = np.concatenate([np.arange(2100), np.arange(5)])
+        got = ctx.in_affectances(idx)
+        assert np.array_equal(got[-5:], got[:5])
+        assert got[0] > 1.0
+        want = ctx.raw_affectance.block(idx, idx).sum(axis=0)
+        assert np.array_equal(got, want)
+
 
 class TestDynamicChurnIdentity:
     """Dense and sparse dynamic contexts stay identical through churn."""

@@ -359,7 +359,10 @@ SHARDED_M10K_BUDGET = 60.0
 
 def test_sharded_scale_m10k_under_budget():
     """m=10^4 sharded churn repair end-to-end, < 60 s wall-clock."""
-    from repro.algorithms.sharding import ShardedContext, ShardedRepairScheduler
+    from repro.algorithms.sharding import (
+        ShardedRepairScheduler,
+        build_shard_layout,
+    )
 
     scn = build_dynamic_scenario(
         "poisson_churn", n_links=10_000, seed=3,
@@ -370,11 +373,11 @@ def test_sharded_scale_m10k_under_budget():
     ctx = SchedulingContext(
         links, noise=0.0, beta=1.0, backend="sparse", eps=0.2
     )
-    sharded = ShardedContext(ctx, target_links_per_shard=10_000 // 8)
-    assert sharded.n_shards >= 2
+    layout = build_shard_layout(ctx, target_links_per_shard=10_000 // 8)
+    assert layout.n_shards >= 2
     dyn = ctx.dynamic()
     driver = ChurnDriver(dyn, scn)
-    rep = ShardedRepairScheduler(dyn, sharded.layout, kind="first_fit")
+    rep = ShardedRepairScheduler(dyn, layout, kind="first_fit")
     for ev in scn.events:
         rep.apply(*driver.step(ev.slot))
     schedule = rep.active_schedule
